@@ -10,12 +10,19 @@ operations below are exactly those the BIGrid algorithms need:
   (Algorithm 6, where ``b <- b_adj(c) - b(o_i)`` and ``|b|`` drive pruning),
 * ``iter_set_bits`` to enumerate candidate objects,
 * ``size_in_bytes`` for the memory accounting reported in Figs. 5(f)-(j).
+
+:meth:`Bitset.packed_sizes_in_bytes` answers ``size_in_bytes`` for every
+row of a packed ``(rows, words)`` uint64 matrix at once, so a grid that
+keeps its cell bitsets packed can be sized without building one object
+per row.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class Bitset(ABC):
@@ -39,6 +46,22 @@ class Bitset(ABC):
     @abstractmethod
     def from_int(cls, value: int) -> "Bitset":
         """Build a bitset whose bit ``i`` is ``(value >> i) & 1``."""
+
+    @classmethod
+    def packed_sizes_in_bytes(cls, packed: np.ndarray) -> np.ndarray:
+        """``size_in_bytes`` of every row of a packed uint64 matrix.
+
+        Row ``j`` of ``packed`` (shape ``(rows, words)``) holds one bitset,
+        word ``i`` carrying bits ``64*i .. 64*i+63``.  Returns an int64
+        array of per-row sizes, each equal to
+        ``cls.from_int(row_value).size_in_bytes()``.  This default builds
+        exactly those objects; backends whose size is a function of the
+        word pattern override it with array reductions.
+        """
+        sizes = np.zeros(packed.shape[0], dtype=np.int64)
+        for index, row in enumerate(packed):
+            sizes[index] = cls.from_int(row_int(row)).size_in_bytes()
+        return sizes
 
     # ------------------------------------------------------------------
     # Mutation and inspection
@@ -137,3 +160,19 @@ class Bitset(ABC):
         preview = ", ".join(str(b) for b in bits[:8])
         suffix = ", ..." if len(bits) > 8 else ""
         return f"{type(self).__name__}({{{preview}{suffix}}})"
+
+
+def row_int(words: np.ndarray) -> int:
+    """One packed uint64 row -> the big-int bitset value (word i at bit 64*i)."""
+    return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+
+
+def packed_row_lengths(packed: np.ndarray) -> np.ndarray:
+    """Per-row word count up to and including the last nonzero word.
+
+    That is the length of each row once trailing zero words are dropped
+    (0 for an all-zero row), as an int64 array.
+    """
+    nonzero = packed != 0
+    last = packed.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, 0).astype(np.int64)

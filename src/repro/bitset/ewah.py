@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Tuple
 
-from repro.bitset.base import Bitset
+import numpy as np
+
+from repro.bitset.base import Bitset, packed_row_lengths
 
 WORD_BITS = 64
 _ALL = (1 << WORD_BITS) - 1
@@ -267,6 +269,28 @@ class EWAHBitset(Bitset):
 
     def size_in_bytes(self) -> int:
         return 8 * self.word_count()
+
+    @classmethod
+    def packed_sizes_in_bytes(cls, packed: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`size_in_bytes` over packed uint64 rows.
+
+        The stream :class:`_Builder` produces for a row has one marker per
+        segment plus its dirty words, after trailing zero words are
+        dropped.  A segment starts at the first word and at every clean
+        word that differs from the word before it (a clean word after a
+        dirty word, or after a clean run of the other bit); dirty words
+        never start one.  Exact for rows shorter than ``_MAX_DIRTY_LEN``
+        words (16 GiB), where no marker's run or dirty count overflows.
+        """
+        rows, words = packed.shape
+        live = np.arange(words) < packed_row_lengths(packed)[:, None]
+        clean = (packed == 0) | (packed == np.uint64(_ALL))
+        starts = np.empty((rows, words), dtype=bool)
+        starts[:, :1] = True
+        starts[:, 1:] = clean[:, 1:] & (packed[:, 1:] != packed[:, :-1])
+        markers = np.count_nonzero(starts & live, axis=1)
+        dirty = words - np.count_nonzero(clean, axis=1)
+        return 8 * (markers + dirty).astype(np.int64)
 
     def compression_ratio(self) -> float:
         """Fraction of bytes saved versus the uncompressed bitmap (0..1)."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.bitset.base import Bitset
+import numpy as np
+
+from repro.bitset.base import Bitset, packed_row_lengths
 
 WORD_BITS = 64
 
@@ -59,6 +61,12 @@ class PlainBitset(Bitset):
         """Whole 64-bit words up to the highest set bit (uncompressed cost)."""
         words = -(-self._value.bit_length() // WORD_BITS)
         return 8 * words
+
+    @classmethod
+    def packed_sizes_in_bytes(cls, packed: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`size_in_bytes`: 8 bytes per word up to the
+        last nonzero word of each row."""
+        return 8 * packed_row_lengths(packed)
 
     def or_(self, other: Bitset) -> "PlainBitset":
         return PlainBitset(self._value | other.to_int())

@@ -156,14 +156,28 @@ class BIGrid:
 
     def memory_bytes(self) -> int:
         """Index footprint: both grids plus the key lists and groupings."""
-        total = self.small_grid.memory_bytes() + self.large_grid.memory_bytes()
-        for keys in self.key_lists:
-            total += 16 + (8 * self.collection.dimension) * len(keys)
-        for groups in self.object_groups:
-            # Group index entries reference the posting lists already charged
-            # to the large grid: key plus one pointer per group.
-            total += 16 + (8 * self.collection.dimension + 8) * len(groups)
-        return total
+        return (
+            self.small_grid.memory_bytes()
+            + self.large_grid.memory_bytes()
+            + self.list_bytes(
+                sum(len(keys) for keys in self.key_lists),
+                sum(len(groups) for groups in self.object_groups),
+            )
+        )
+
+    def list_bytes(self, keys: int, groups: int) -> int:
+        """Charge for the per-object key lists and groupings, given their
+        entry totals (``keys`` over every ``o_i.L``, ``groups`` over every
+        ``P_{i,K}``): a 16-byte header per object for each, a key per
+        entry, and one pointer per group.  Group index entries reference
+        the posting lists already charged to the large grid."""
+        dimension = self.collection.dimension
+        return (
+            16 * len(self.key_lists)
+            + 8 * dimension * keys
+            + 16 * len(self.object_groups)
+            + (8 * dimension + 8) * groups
+        )
 
     def __repr__(self) -> str:
         return (

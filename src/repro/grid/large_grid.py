@@ -136,12 +136,20 @@ class LargeGrid:
         The transient point-coordinate caches are measurement aids and are
         excluded, as is the collection itself.
         """
-        per_entry = 8 * self.dimension + 8 + 8
-        total = per_entry * len(self.cells)
+        total = self.entry_bytes() * len(self.cells)
         for cell in self.cells.values():
             total += cell.bitset.size_in_bytes()
             if cell.adj_bitset is not None:
                 total += cell.adj_bitset.size_in_bytes()
             for posting in cell.postings.values():
-                total += 16 + 8 * len(posting)
+                total += posting_bytes(1, len(posting))
         return total
+
+    def entry_bytes(self) -> int:
+        """Per-cell hash entry charge: key, pointer, list header."""
+        return 8 * self.dimension + 8 + 8
+
+
+def posting_bytes(lists: int, entries: int) -> int:
+    """Charge for ``lists`` posting lists holding ``entries`` point references."""
+    return 16 * lists + 8 * entries

@@ -85,8 +85,11 @@ class SmallGrid:
         Each hash entry is charged the key (8 bytes per axis), one pointer,
         and the fixed cell header (counts), mirroring a compact C++ layout.
         """
-        per_entry = 8 * self.dimension + 8 + 12
-        total = per_entry * len(self.cells)
+        total = self.entry_bytes() * len(self.cells)
         for cell in self.cells.values():
             total += cell.bitset.size_in_bytes()
         return total
+
+    def entry_bytes(self) -> int:
+        """Per-cell hash entry charge: key, pointer, cell header."""
+        return 8 * self.dimension + 8 + 12

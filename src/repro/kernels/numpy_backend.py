@@ -41,10 +41,12 @@ backend otherwise.  Inputs whose cell-index spread would overflow the
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bitset.base import row_int
 from repro.bitset.factory import bitset_class
 from repro.core.lower_bound import LowerBoundResult
 from repro.core.upper_bound import Candidate, UpperBoundResult
@@ -61,7 +63,7 @@ from repro.grid.keys import (
     neighbor_offsets,
     small_cell_width,
 )
-from repro.grid.large_grid import LargeGrid, LargeGridCell
+from repro.grid.large_grid import LargeGrid, LargeGridCell, posting_bytes
 from repro.grid.small_grid import SmallGrid, SmallGridCell
 from repro.kernels.base import KernelBackend
 from repro.kernels.python_backend import PYTHON_KERNEL
@@ -95,11 +97,6 @@ except ImportError:  # pragma: no cover - older numpy core layout
     _c_einsum = np.einsum
 
 
-def _row_int(words: np.ndarray) -> int:
-    """One packed uint64 row -> the big-int bitset value (word i at bit 64*i)."""
-    return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
-
-
 def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Mixed-radix ``int64`` codes for integer key rows, or None on overflow.
 
@@ -127,8 +124,11 @@ def encode_keys(keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return shifted @ strides, strides
 
 
-#: Back-compat alias; prefer the public name.
-_encode_keys = encode_keys
+def _pack_ints(values: List[int], words: int) -> np.ndarray:
+    """Big-int bitsets -> a packed ``(len(values), words)`` uint64 matrix
+    (the inverse of :func:`row_int`, row by row)."""
+    data = b"".join(value.to_bytes(8 * words, "little") for value in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), words)
 
 
 class LazyBitsetSmallCell(SmallGridCell):
@@ -139,8 +139,9 @@ class LazyBitsetSmallCell(SmallGridCell):
     or even converting its packed row to a big int — would be pure
     build-time overhead.  The cell keeps ``(bitset_cls, packed, row)``
     and the compressed form materializes lazily — any consumer (serial
-    phases on a numpy-built grid, memory accounting, tests) sees the
-    identical bitset it would on a serial build.
+    phases on a numpy-built grid, tests) sees the identical bitset it
+    would on a serial build.  Memory accounting sizes the packed rows
+    directly and materializes nothing.
     """
 
     __slots__ = ("_lazy_bitset",)
@@ -156,7 +157,7 @@ class LazyBitsetSmallCell(SmallGridCell):
     def __getattr__(self, name: str):
         if name == "bitset":
             bitset_cls, packed, row = self._lazy_bitset
-            bitset = bitset_cls.from_int(_row_int(packed[row]))
+            bitset = bitset_cls.from_int(row_int(packed[row]))
             self.bitset = bitset
             return bitset
         raise AttributeError(name)
@@ -173,29 +174,36 @@ class LazyBitsetLargeCell(LargeGridCell):
     reads as None (uncached, so it resolves correctly later), which is
     exactly the base-class state that makes ``adjacent_union_int``
     compute the union on demand.
+
+    The cell reaches its grid through a weak reference: a strong one
+    would put every grid in a reference cycle with its cells, so the
+    grid's arrays would outlive the query until the cyclic collector
+    ran instead of being freed when the last query reference drops.
     """
 
     __slots__ = ("_lazy_bitset", "_row")
 
-    def __init__(self, bitset_cls, grid: "PackedLargeGrid", row: int) -> None:
-        self._lazy_bitset = (bitset_cls, grid)
+    def __init__(
+        self, bitset_cls, packed: np.ndarray, grid_ref: weakref.ref, row: int
+    ) -> None:
+        self._lazy_bitset = (bitset_cls, packed, grid_ref)
         self._row = row
         self.postings = {}
         self.last_oid = -1
 
     def __getattr__(self, name: str):
         if name == "bitset":
-            bitset_cls, grid = self._lazy_bitset
-            bitset = bitset_cls.from_int(_row_int(grid.packed[self._row]))
+            bitset_cls, packed, _ = self._lazy_bitset
+            bitset = bitset_cls.from_int(row_int(packed[self._row]))
             self.bitset = bitset
             return bitset
         if name == "adj_int":
-            _, grid = self._lazy_bitset
-            if grid.adj_words is None:
+            grid = self._lazy_bitset[2]()
+            if grid is None or grid.adj_words is None:
                 # Not cached: the bulk matrix may appear later (upper
                 # bounding), and a stored None would mask it forever.
                 return None
-            value = _row_int(grid.adj_words[self._row])
+            value = row_int(grid.adj_words[self._row])
             self.adj_int = value
             return value
         if name == "_point_cache":
@@ -217,16 +225,26 @@ class PackedSmallGrid(SmallGrid):
 
     __slots__ = ("packed",)
 
+    def memory_bytes(self) -> int:
+        """The base accounting, with every cell bitset sized off its
+        packed row (no lazy bitset is materialized)."""
+        return self.entry_bytes() * len(self.cells) + int(
+            self.bitset_cls.packed_sizes_in_bytes(self.packed).sum()
+        )
+
 
 class PackedLargeGrid(LargeGrid):
     """A :class:`LargeGrid` whose adjacent unions are computed in bulk.
 
-    ``adjacent_union_int`` keeps the base-class semantics; the only
-    difference is that when upper-bounding has already computed the bulk
+    ``adjacent_union_int`` keeps the base-class semantics, with two
+    differences.  When upper-bounding has already computed the bulk
     adjacency matrix (``adj_words`` — per-cell ``adj_int`` values resolve
     lazily from its rows), the neighbour-cell list (which the base class
     builds as a side effect of the lazy union) is materialized on first
-    demand instead.
+    demand instead.  Otherwise (labeled runs delegate upper-bounding) the
+    union ORs the neighbours' packed rows, never their lazy bitsets, and
+    the cell's row joins ``adj_rows`` so memory accounting charges exactly
+    the unions that were computed.
 
     The ``seg_*`` arrays are the flat segment view of the grid that the
     batched verifier consumes: segment ``s`` is one ``(cell, oid)``
@@ -237,11 +255,13 @@ class PackedLargeGrid(LargeGrid):
     """
 
     __slots__ = (
+        "__weakref__",
         "packed",
         "codes",
         "strides",
         "row_cells",
         "adj_words",
+        "adj_rows",
         "seg_cell",
         "seg_oid",
         "seg_bounds",
@@ -251,14 +271,46 @@ class PackedLargeGrid(LargeGrid):
 
     def adjacent_union_int(self, key) -> int:
         cell = self.cells[key]
-        if cell.adj_int is not None and cell.neighbor_cells is None:
-            cells = self.cells
-            cell.neighbor_cells = [
-                neighbor
-                for neighbor_key in cell_and_adjacent_keys(key)
-                if (neighbor := cells.get(neighbor_key)) is not None
-            ]
-        return super().adjacent_union_int(key)
+        union = cell.adj_int
+        if union is not None and cell.neighbor_cells is not None:
+            return union
+        cells = self.cells
+        neighbors = [
+            neighbor
+            for neighbor_key in cell_and_adjacent_keys(key)
+            if (neighbor := cells.get(neighbor_key)) is not None
+        ]
+        cell.neighbor_cells = neighbors
+        if union is None:
+            packed = self.packed
+            union = 0
+            for neighbor in neighbors:
+                union |= row_int(packed[neighbor._row])
+            cell.adj_int = union
+            self.adj_computed += 1
+            self.adj_rows.append(cell._row)
+        return union
+
+    def memory_bytes(self) -> int:
+        """The base accounting as array reductions over the packed rows.
+
+        Adjacent unions are charged for the cells that have one: every
+        row of ``adj_words`` once upper-bounding computed them in bulk,
+        else only the ``adj_rows`` cells the dictionary walk reached.
+        """
+        sizes = self.bitset_cls.packed_sizes_in_bytes
+        total = (
+            self.entry_bytes() * len(self.cells)
+            + int(sizes(self.packed).sum())
+            + posting_bytes(len(self.seg_cell), int(self.seg_bounds[-1]))
+        )
+        if self.adj_words is not None:
+            total += int(sizes(self.adj_words).sum())
+        elif self.adj_rows:
+            row_cells = self.row_cells
+            unions = [row_cells[row].adj_int for row in self.adj_rows]
+            total += int(sizes(_pack_ints(unions, self.packed.shape[1])).sum())
+        return total
 
 
 class PackedBIGrid(BIGrid):
@@ -279,6 +331,15 @@ class PackedBIGrid(BIGrid):
         "group_flat",
         "group_counts",
     )
+
+    def memory_bytes(self) -> int:
+        """The base accounting, with the list terms read off the flat
+        row-group arrays (one entry per key-list key / object group)."""
+        return (
+            self.small_grid.memory_bytes()
+            + self.large_grid.memory_bytes()
+            + self.list_bytes(len(self.shared_flat), len(self.group_flat))
+        )
 
 
 class NumpyKernel(KernelBackend):
@@ -365,6 +426,7 @@ class NumpyKernel(KernelBackend):
             large_grid.strides = np.ones(dimension, dtype=np.int64)
             large_grid.row_cells = []
             large_grid.adj_words = None
+            large_grid.adj_rows = []
             large_grid.seg_cell = np.empty(0, dtype=np.int64)
             large_grid.seg_oid = np.empty(0, dtype=np.int64)
             large_grid.seg_bounds = np.zeros(1, dtype=np.int64)
@@ -533,6 +595,7 @@ class NumpyKernel(KernelBackend):
         large_grid.codes = uniq_codes
         large_grid.strides = strides
         large_grid.adj_words = None
+        large_grid.adj_rows = []
         large_grid.seg_cell = segment_cell
         large_grid.seg_oid = segment_oid
         large_grid.seg_bounds = np.concatenate(
@@ -545,8 +608,9 @@ class NumpyKernel(KernelBackend):
 
         cells = large_grid.cells
         row_cells: List[LargeGridCell] = []
+        grid_ref = weakref.ref(large_grid)
         for row in range(cell_count):
-            cell = LazyBitsetLargeCell(bitset_cls, large_grid, row)
+            cell = LazyBitsetLargeCell(bitset_cls, packed, grid_ref, row)
             cells[cell_keys[row]] = cell
             row_cells.append(cell)
         large_grid.row_cells = row_cells
@@ -661,7 +725,7 @@ class NumpyKernel(KernelBackend):
                 tau_max = lower
             if bitsets is not None:
                 bitsets.append(
-                    bitset_cls.from_int(_row_int(unions[position]))
+                    bitset_cls.from_int(row_int(unions[position]))
                     if cardinality
                     else None
                 )

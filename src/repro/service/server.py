@@ -36,6 +36,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-mio/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: headers and body go out as
+    # separate writes, and on a keep-alive connection Nagle would hold
+    # the body back until the client's delayed ACK (40-200 ms).
+    disable_nagle_algorithm = True
 
     # Set by MIOServer before the server starts.
     app: ServiceApp

@@ -10,12 +10,17 @@ backends, and traced/untraced pipelines.  Kernel-name resolution policy
 (``auto``, the env kill switch, quiet degradation) is covered at the end.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitset.ewah import EWAHBitset
 from repro.core.engine import MIOEngine
+from repro.core.labels import PointLabels
 from repro.core.objects import ObjectCollection
 from repro.core.query import PhaseStats
 from repro.errors import InvalidQueryError
@@ -30,6 +35,7 @@ from repro.kernels import (
 from repro.obs.trace import Tracer
 from repro.parallel.engine import ParallelMIOEngine
 from repro.progressive import query_progressive
+from repro.resilience import Deadline, ManualClock
 from repro.session import QuerySession
 
 from conftest import random_collection
@@ -434,6 +440,196 @@ class TestEngineConformance:
         ref = MIOEngine(collection, kernel="python").query(r)
         got = MIOEngine(collection, kernel="numpy").query(r)
         assert_results_equal(ref, got)
+
+
+# ----------------------------------------------------------------------
+# Memory accounting (Fig. 5): packed-row sizing vs the object model
+# ----------------------------------------------------------------------
+
+#: Grid states memory is read in: fresh, after LOWER-BOUNDING, after
+#: unlabeled UPPER-BOUNDING (every adjacent union, in bulk on numpy), and
+#: after a labeled rebuild's masked UPPER-BOUNDING (only some unions).
+GRID_STATES = ("built", "lower", "upper", "labeled")
+
+
+def first_pass_labels(collection, r, backend):
+    """Labels from one full labeling run on the reference kernel."""
+    labeler = PointLabels.for_collection(collection, r)
+    grid = PYTHON_KERNEL.build_bigrid(collection, r, backend=backend)
+    lower = PYTHON_KERNEL.lower_bounds(grid)
+    upper = PYTHON_KERNEL.upper_bounds(grid, lower.tau_max, labeler=labeler)
+    PYTHON_KERNEL.verify_candidates(grid, upper.candidates, r, labeler=labeler)
+    return labeler
+
+
+def grid_in_state(kernel, collection, r, backend, state, labels=None):
+    """A BIGrid built by ``kernel`` and advanced to ``state``."""
+    point_filter = upper_masks = labeler = None
+    if state == "labeled":
+        point_filter, upper_masks = labels.grid_mask, labels.upper_mask
+        labeler = PointLabels.for_collection(collection, r)
+    grid = kernel.build_bigrid(
+        collection, r, backend=backend, point_filter=point_filter
+    )
+    if state != "built":
+        lower = kernel.lower_bounds(grid)
+        if state != "lower":
+            kernel.upper_bounds(
+                grid, lower.tau_max, upper_masks=upper_masks, labeler=labeler
+            )
+    return grid
+
+
+def assert_memory_parity(collection, r, backend, state):
+    labels = (
+        first_pass_labels(collection, r, backend) if state == "labeled" else None
+    )
+    ref = grid_in_state(PYTHON_KERNEL, collection, r, backend, state, labels)
+    got = grid_in_state(numpy_kernel(), collection, r, backend, state, labels)
+    assert got.large_grid.adj_computed == ref.large_grid.adj_computed
+    assert got.memory_bytes() == ref.memory_bytes()
+    return got
+
+
+@needs_numpy
+class TestMemoryParity:
+    @pytest.mark.parametrize("state", GRID_STATES)
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_memory_bytes_match(self, backend, dimension, state):
+        collection = random_collection(
+            n=70, mean_points=6, dimension=dimension, seed=41 + dimension
+        )
+        got = assert_memory_parity(collection, 2.5, backend, state)
+        large = got.large_grid
+        if state == "upper":
+            assert large.adj_words is not None
+        if state == "labeled":
+            # Masked upper-bounding reached some cells, not all: the
+            # charge must follow exactly the unions computed.
+            assert large.adj_words is None
+            assert 0 < len(large.adj_rows) < len(large.cells)
+
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    def test_multi_word_rows(self, backend):
+        # n > 64: rows span several words, so EWAH runs and trailing
+        # zero words occur inside real cells.
+        collection = random_collection(n=150, mean_points=4, seed=47)
+        for state in GRID_STATES:
+            assert_memory_parity(collection, 3.0, backend, state)
+
+    @pytest.mark.parametrize("backend", BITSET_BACKENDS)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_results_match_serial_anytime_and_shards(self, backend, dimension):
+        collection = random_collection(
+            n=70, mean_points=6, dimension=dimension, seed=43 + dimension
+        )
+        r = 2.5
+        results = {}
+        for kernel in ("python", "numpy"):
+            serial = MIOEngine(collection, backend=backend, kernel=kernel).query(r)
+            anytime = MIOEngine(collection, backend=backend, kernel=kernel).query(
+                r, deadline=Deadline(260.0, clock=ManualClock(step=1.0))
+            )
+            sharded = ParallelMIOEngine(
+                collection, cores=2, backend=backend, kernel=kernel
+            ).query(r)
+            results[kernel] = (serial, anytime, sharded)
+        assert not results["python"][1].exact  # the budget cut verification
+        for ref, got in zip(results["python"], results["numpy"]):
+            assert got.memory_bytes == ref.memory_bytes
+            assert (got.winner, got.score, got.exact) == (
+                ref.winner, ref.score, ref.exact
+            )
+
+    @given(
+        collection=collections(max_objects=10),
+        r=radii,
+        backend=st.sampled_from(BITSET_BACKENDS),
+        state=st.sampled_from(GRID_STATES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_memory_parity(self, collection, r, backend, state):
+        assert_memory_parity(collection, r, backend, state)
+
+
+class _FromIntCounter:
+    """Counts ``EWAHBitset.from_int`` calls made inside wrapped methods."""
+
+    def __init__(self, monkeypatch):
+        from repro.kernels.numpy_backend import PackedBIGrid, PackedLargeGrid
+
+        self.inside = None
+        self.calls = {"memory_bytes": 0, "adjacent_union_int": 0}
+        self.entered = {"memory_bytes": 0, "adjacent_union_int": 0}
+        from_int = EWAHBitset.__dict__["from_int"].__func__
+
+        def counting_from_int(cls, value):
+            if self.inside is not None:
+                self.calls[self.inside] += 1
+            return from_int(cls, value)
+
+        monkeypatch.setattr(EWAHBitset, "from_int", classmethod(counting_from_int))
+        for cls, name in (
+            (PackedBIGrid, "memory_bytes"),
+            (PackedLargeGrid, "adjacent_union_int"),
+        ):
+            monkeypatch.setattr(cls, name, self._scoped(getattr(cls, name), name))
+
+    def _scoped(self, method, name):
+        def wrapper(*args, **kwargs):
+            outer, self.inside = self.inside, name
+            self.entered[name] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                self.inside = outer
+
+        return wrapper
+
+
+@needs_numpy
+class TestNoBitsetMaterialization:
+    def test_engine_query(self, monkeypatch):
+        collection = random_collection(n=90, mean_points=6, seed=51)
+        counter = _FromIntCounter(monkeypatch)
+        MIOEngine(collection, backend="ewah", kernel="numpy").query(2.5)
+        assert counter.entered["memory_bytes"] == 1
+        assert counter.calls == {"memory_bytes": 0, "adjacent_union_int": 0}
+
+    def test_labeled_session_query(self, monkeypatch):
+        collection = random_collection(n=90, mean_points=6, seed=53)
+        session = QuerySession(collection, backend="ewah", kernel="numpy")
+        session.query(2.9)
+        counter = _FromIntCounter(monkeypatch)
+        result = session.query(2.6)
+        assert result.algorithm == "bigrid-label"
+        assert counter.entered["memory_bytes"] == 1
+        assert counter.entered["adjacent_union_int"] > 0
+        assert counter.calls == {"memory_bytes": 0, "adjacent_union_int": 0}
+
+
+@needs_numpy
+class TestGridLifetime:
+    def test_grid_is_freed_without_the_cycle_collector(self):
+        # Cells reach their grid weakly: dropping the last reference to a
+        # queried grid frees it (and its packed arrays) at once, not at
+        # the next cyclic collection.
+        collection = random_collection(n=60, mean_points=6, seed=55)
+        kernel = numpy_kernel()
+        gc.disable()
+        try:
+            grid = kernel.build_bigrid(collection, 2.5)
+            lower = kernel.lower_bounds(grid)
+            upper = kernel.upper_bounds(grid, lower.tau_max)
+            kernel.verify_candidates(grid, upper.candidates, 2.5)
+            cell = next(iter(grid.large_grid.cells.values()))
+            assert cell.bitset.to_int() and cell.adj_int
+            large_grid = weakref.ref(grid.large_grid)
+            del grid, cell
+            assert large_grid() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,10 @@ drive genuine concurrent load to exercise shedding and graceful
 shutdown under traffic.
 """
 
+import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -22,6 +24,7 @@ from repro.service import (
     ServiceConfig,
     serve,
 )
+from repro.service.server import _Handler
 
 from conftest import random_collection
 
@@ -73,6 +76,32 @@ class TestRoundTrips:
         client = ServiceClient("127.0.0.1", 1, timeout_s=0.5)
         with pytest.raises(BackendUnavailableError):
             client.healthz()
+
+
+class TestTransport:
+    def test_accepted_sockets_disable_nagle(self, server, monkeypatch):
+        # Headers and body are separate writes; without TCP_NODELAY a
+        # keep-alive connection stalls each response on a delayed ACK.
+        accepted = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            accepted.append(handler.connection)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            for _ in range(2):  # the second request reuses the connection
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            connection.close()
 
 
 class TestClientRetries:
